@@ -11,7 +11,7 @@ import pytest
 from repro.affine import AffineClassifier
 from repro.circuits.arithmetic import adder, comparator, multiplier
 from repro.mc import McDatabase, McSynthesizer
-from repro.rewriting import RewriteParams, optimize
+from repro.rewriting import RewriteParams, RewritePass, run_pipeline
 from repro.tt import random_table
 import random
 
@@ -24,8 +24,8 @@ def test_ablation_cut_size(cut_size, benchmark):
     add = adder(16)
 
     def run():
-        return optimize(add, params=RewriteParams(cut_size=cut_size, cut_limit=8),
-                        max_rounds=2)
+        return run_pipeline(add, [RewritePass(max_rounds=2)],
+                            params=RewriteParams(cut_size=cut_size, cut_limit=8))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\ncut_size={cut_size}: {add.num_ands} -> {result.final.num_ands} ANDs")
@@ -43,8 +43,8 @@ def test_ablation_cut_limit(cut_limit, benchmark):
     unit = comparator(16, signed=False, strict=True)
 
     def run():
-        return optimize(unit, params=RewriteParams(cut_size=5, cut_limit=cut_limit),
-                        max_rounds=2)
+        return run_pipeline(unit, [RewritePass(max_rounds=2)],
+                            params=RewriteParams(cut_size=5, cut_limit=cut_limit))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\ncut_limit={cut_limit}: {unit.num_ands} -> {result.final.num_ands} ANDs")
@@ -60,8 +60,9 @@ def test_ablation_database_tiers(use_dickson, benchmark):
     database = McDatabase(synthesizer=McSynthesizer(use_dickson=use_dickson))
 
     def run():
-        return optimize(add, database=database,
-                        params=RewriteParams(cut_size=5, cut_limit=8), max_rounds=2)
+        return run_pipeline(add, [RewritePass(max_rounds=2)],
+                            database=database,
+                            params=RewriteParams(cut_size=5, cut_limit=8))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\ndickson={use_dickson}: {add.num_ands} -> {result.final.num_ands} ANDs")
@@ -80,8 +81,9 @@ def test_ablation_classification(use_classification, benchmark):
     database = McDatabase(use_classification=use_classification)
 
     def run():
-        return optimize(unit, database=database,
-                        params=RewriteParams(cut_size=5, cut_limit=8), max_rounds=1)
+        return run_pipeline(unit, [RewritePass(max_rounds=1)],
+                            database=database,
+                            params=RewriteParams(cut_size=5, cut_limit=8))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = database.stats()
@@ -113,8 +115,9 @@ def test_classification_cache_hit_rate_on_structured_workload(benchmark):
     cut_cache = CutFunctionCache(database)
 
     def run():
-        return optimize(add, cut_cache=cut_cache,
-                        params=RewriteParams(cut_size=6, cut_limit=12), max_rounds=1)
+        return run_pipeline(add, [RewritePass(max_rounds=1)],
+                            cut_cache=cut_cache,
+                            params=RewriteParams(cut_size=6, cut_limit=12))
 
     benchmark.pedantic(run, rounds=1, iterations=1)
     stats = cut_cache.stats()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.circuits.arithmetic import adder
 from repro.mc import McDatabase
-from repro.rewriting import RewriteParams, optimize
+from repro.rewriting import RewriteParams, RewritePass, run_pipeline
 from repro.xag import equivalent
 
 
@@ -18,8 +18,8 @@ def test_adder_reaches_optimum(width, benchmark, shared_database):
     add = adder(width)
 
     def run():
-        return optimize(add, database=shared_database,
-                        params=RewriteParams(cut_size=6, cut_limit=12))
+        return run_pipeline(add, [RewritePass()], database=shared_database,
+                            params=RewriteParams(cut_size=6, cut_limit=12))
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print(f"\nadder_{width}: {add.num_ands} -> {result.final.num_ands} ANDs "

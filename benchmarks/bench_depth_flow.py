@@ -4,7 +4,7 @@ MPC/FHE cost models (the paper's Table 2 domain) price a circuit by both its
 AND count and its multiplicative depth — homomorphic noise growth is
 exponential in the number of AND levels.  This benchmark races the plain
 ``"mc"`` convergence flow against the depth-aware flow
-(:func:`repro.rewriting.flow.depth_flow`: balance → depth-guarded mc rounds →
+(``standard_flow("mc-depth")``: balance → depth-guarded mc rounds →
 ``"mc-depth"`` rewriting, iterated to a fixpoint; since the pipeline
 refactor the guarded stage drains one persistent dirty-node worklist over a
 shared optimisation context instead of restarting a full cut re-enumeration
@@ -34,7 +34,8 @@ from repro.cuts.cache import CutFunctionCache
 from repro.engine import EngineConfig
 from repro.engine.core import select_cases
 from repro.mc import McDatabase
-from repro.rewriting import RewriteParams, depth_flow, optimize
+from repro.rewriting import (RewriteParams, RewritePass, run_pipeline,
+                             standard_flow)
 from repro.xag import equivalent, multiplicative_depth
 from repro.xag.bitsim import SimulationCache
 
@@ -56,6 +57,10 @@ def _case(name, suite):
     return select_cases(config)[0]
 
 
+def _depth_flow(cap=None):
+    return standard_flow("mc-depth", max_rounds=cap, max_iterations=4)
+
+
 def _run_row(name, suite, ab_check):
     case = _case(name, suite)
     xag = case.build()
@@ -65,23 +70,21 @@ def _run_row(name, suite, ab_check):
     depth_params = RewriteParams(objective="mc-depth", verify=verify)
 
     start = time.perf_counter()
-    mc = optimize(xag, params=mc_params, max_rounds=cap,
-                  cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    mc = run_pipeline(xag, [RewritePass(max_rounds=cap)], params=mc_params,
+                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     mc_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    df = depth_flow(xag, params=depth_params, max_rounds=cap,
-                    max_iterations=4, cut_cache=_CUT_CACHE,
-                    sim_cache=_SIM_CACHE)
+    df = run_pipeline(xag, _depth_flow(cap), params=depth_params,
+                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     df_seconds = time.perf_counter() - start
 
-    pair = (df.final.num_ands, df.final_depth)
+    pair = (df.final.num_ands, df.depth_after)
     if ab_check:
-        rebuilt = depth_flow(xag, params=RewriteParams(
+        rebuilt = run_pipeline(xag, _depth_flow(cap), params=RewriteParams(
             objective="mc-depth", verify=verify, in_place=False),
-            max_rounds=cap, max_iterations=4, cut_cache=_CUT_CACHE,
-            sim_cache=_SIM_CACHE)
-        assert (rebuilt.final.num_ands, rebuilt.final_depth) == pair, \
+            cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+        assert (rebuilt.final.num_ands, rebuilt.depth_after) == pair, \
             f"{name}: --rebuild diverged from the in-place depth flow"
 
     if verify:
@@ -128,9 +131,9 @@ def test_depth_flow_report():
     lines = [
         "# Depth-aware flow vs pure-MC flow",
         "",
-        "`depth_flow` (balance → depth-guarded mc rounds → mc-depth",
-        "rewriting, iterated to a fixpoint) against `optimize` with the",
-        "paper's `mc` objective.  Both from the same initial network, shared",
+        "`standard_flow(\"mc-depth\")` (balance → depth-guarded mc rounds →",
+        "mc-depth rewriting, iterated to a fixpoint) against plain `mc`",
+        "rewriting rounds (`RewritePass`), the paper's objective.  Both from the same initial network, shared",
         "database/caches; `(ANDs, depth)` pairs, depth = multiplicative",
         "depth.  Control rows are additionally A/B-checked: the `--rebuild`",
         "mode (same trajectory, every round's selections re-applied",
@@ -181,17 +184,18 @@ def smoke(circuits=("int2float", "router")) -> int:
         case = _case(name, "epfl")
         xag = case.build()
         start = time.perf_counter()
-        flow_in = depth_flow(xag)
-        flow_out = depth_flow(xag, params=RewriteParams(
-            objective="mc-depth", in_place=False))
+        depth_flow = standard_flow("mc-depth")
+        flow_in = run_pipeline(xag, depth_flow)
+        flow_out = run_pipeline(xag, depth_flow,
+                                params=RewriteParams(in_place=False))
         seconds = time.perf_counter() - start
-        pair_in = (flow_in.final.num_ands, flow_in.final_depth)
-        pair_out = (flow_out.final.num_ands, flow_out.final_depth)
+        pair_in = (flow_in.final.num_ands, flow_in.depth_after)
+        pair_out = (flow_out.final.num_ands, flow_out.depth_after)
         good = (pair_in == pair_out
-                and flow_in.final_depth <= flow_in.initial_depth
+                and flow_in.depth_after <= flow_in.depth_before
                 and equivalent(xag, flow_in.final))
         ok = ok and good
-        print(f"smoke {name}: initial {xag.num_ands}/{flow_in.initial_depth} "
+        print(f"smoke {name}: initial {xag.num_ands}/{flow_in.depth_before} "
               f"in-place {pair_in} rebuild {pair_out} in {seconds:.1f}s -> "
               f"{'OK' if good else 'DIVERGED'}")
     return 0 if ok else 1

@@ -27,7 +27,8 @@ from repro.affine.operations import AffineTransform
 from repro.circuits import control as C
 from repro.engine import EngineConfig, run_batch
 from repro.mc import McDatabase
-from repro.rewriting import CutRewriter, RewriteParams, optimize
+from repro.rewriting import (CutRewriter, RewriteParams, RewritePass,
+                             run_pipeline)
 from repro.tt.bits import bit_of, num_bits
 from repro.tt.operations import apply_output_affine
 from repro.xag import equivalent
@@ -187,17 +188,21 @@ def test_inplace_convergence_faster_than_rebuild():
     """
     xag = C.priority_encoder(32)
     database = McDatabase()
-    optimize(xag, database=database, params=RewriteParams(in_place=False))
-    optimize(xag, database=database, params=RewriteParams(in_place=True))
+    run_pipeline(xag, [RewritePass()], database=database,
+                 params=RewriteParams(in_place=False))
+    run_pipeline(xag, [RewritePass()], database=database,
+                 params=RewriteParams(in_place=True))
 
     in_seconds = []
     out_seconds = []
     for _ in range(3):
         start = time.perf_counter()
-        res_in = optimize(xag, database=database, params=RewriteParams(in_place=True))
+        res_in = run_pipeline(xag, [RewritePass()], database=database,
+                              params=RewriteParams(in_place=True))
         in_seconds.append(time.perf_counter() - start)
         start = time.perf_counter()
-        res_out = optimize(xag, database=database, params=RewriteParams(in_place=False))
+        res_out = run_pipeline(xag, [RewritePass()], database=database,
+                               params=RewriteParams(in_place=False))
         out_seconds.append(time.perf_counter() - start)
 
     assert res_in.final.num_ands == res_out.final.num_ands
@@ -208,7 +213,7 @@ def test_inplace_convergence_faster_than_rebuild():
                   f"| {best_in:.3f} s | {speedup:.1f}x |")
     print(f"\nconvergence, priority_encoder(32): rebuild {best_out:.3f}s, "
           f"in-place {best_in:.3f}s ({speedup:.1f}x), "
-          f"{res_in.num_rounds} rounds, final ANDs {res_in.final.num_ands}")
+          f"{len(res_in.rounds)} rounds, final ANDs {res_in.final.num_ands}")
     # "measurably faster": demand at least 1.1x; typical is 1.5-2x (margin
     # keeps noisy CI runners from flaking the build).
     assert best_in * 1.1 < best_out
@@ -420,7 +425,7 @@ def test_inplace_vs_rebuild_report():
     RESULTS_DIR.mkdir(exist_ok=True)
     body = "\n".join(
         ["# In-place substitution vs out-of-place rebuild", "",
-         "Convergence flow (`optimize`, no round cap) over the EPFL control",
+         "Convergence flow (`[RewritePass()]`, no round cap) over the EPFL control",
          "set in both Phase-2 strategies, cold database.  `in-place` drains a",
          "dirty-node worklist on one mutating network (fanout rewiring +",
          "refcount GC, observers invalidate per node); `rebuild` reconstructs",
@@ -451,21 +456,24 @@ def smoke(circuit: str = "int2float") -> int:
     case = select_cases(EngineConfig(suites=("epfl",), circuits=[circuit]))[0]
     xag = case.build()
     start = time.perf_counter()
-    res_in = optimize(xag, params=RewriteParams(in_place=True))
-    res_out = optimize(xag, params=RewriteParams(in_place=False))
+    res_in = run_pipeline(xag, [RewritePass()],
+                          params=RewriteParams(in_place=True))
+    res_out = run_pipeline(xag, [RewritePass()],
+                           params=RewriteParams(in_place=False))
     seconds = time.perf_counter() - start
     ok = (res_in.final.num_ands == res_out.final.num_ands
           and equivalent(xag, res_in.final))
     print(f"smoke {circuit}: in-place {res_in.final.num_ands} ANDs "
-          f"({res_in.num_rounds} rounds) vs rebuild {res_out.final.num_ands} ANDs "
-          f"({res_out.num_rounds} rounds) in {seconds:.1f}s -> "
+          f"({len(res_in.rounds)} rounds) vs rebuild {res_out.final.num_ands} ANDs "
+          f"({len(res_out.rounds)} rounds) in {seconds:.1f}s -> "
           f"{'OK' if ok else 'DIVERGED'} [{kernels.backend_name()} kernels]")
 
     pairs = {}
     for name in kernels.available_backends():
         with kernels.use_backend(name):
-            res = optimize(case.build(), params=RewriteParams(in_place=True))
-        pairs[name] = (res.final.num_ands, res.num_rounds)
+            res = run_pipeline(case.build(), [RewritePass()],
+                               params=RewriteParams(in_place=True))
+        pairs[name] = (res.final.num_ands, len(res.rounds))
     parity = len(set(pairs.values())) == 1
     print(f"smoke {circuit}: backend parity "
           + " vs ".join(f"{name} {ands} ANDs/{rounds} rounds"

@@ -9,13 +9,14 @@ complexity 1 (Example 3.1).
 import pytest
 
 from repro.circuits.arithmetic import full_adder
-from repro.rewriting import RewriteParams, optimize
+from repro.rewriting import RewriteParams, RewritePass, run_pipeline
 from repro.xag import equivalent
 
 
 def run_full_adder_flow():
     fa = full_adder(style="naive")
-    result = optimize(fa, params=RewriteParams(cut_size=3))
+    result = run_pipeline(fa, [RewritePass()],
+                          params=RewriteParams(cut_size=3))
     return fa, result
 
 

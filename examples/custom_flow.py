@@ -15,8 +15,8 @@ Run::
 
 import sys
 
-from repro import RewriteParams, equivalent, multiplicative_depth, optimize, \
-    parse_flow, run_pipeline
+from repro import RewriteParams, equivalent, multiplicative_depth, \
+    parse_flow, run_pipeline, standard_flow
 from repro.engine import EngineConfig
 from repro.engine.core import select_cases
 from repro.rewriting import BalancePass, DepthGuard, RewritePass
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"  final: {pair[0]} AND, depth {pair[1]}, "
           f"verified {composed.verified}")
 
-    mc = optimize(xag)
+    mc = run_pipeline(xag, standard_flow("mc"))
     print(f"vs pure-MC convergence flow: {mc.final.num_ands} AND, "
           f"depth {multiplicative_depth(mc.final)}")
 

@@ -12,9 +12,10 @@ the paper removes 68 % of the AND gates.
 import argparse
 import hashlib
 
-from repro import RewriteParams, optimize
+from repro import RewriteParams, run_pipeline
 from repro.circuits.crypto import hash_common as H
 from repro.circuits.crypto.md5 import md5_block
+from repro.rewriting import RewritePass
 from repro.xag import multiplicative_depth, simulate_pattern
 
 
@@ -30,11 +31,10 @@ def main() -> None:
     print(f"MD5 ({args.steps} steps): {circuit.num_ands} AND / {circuit.num_xors} XOR, "
           f"multiplicative depth {multiplicative_depth(circuit)}")
 
-    result = optimize(circuit,
-                      params=RewriteParams(cut_size=6, cut_limit=12, verify=False),
-                      max_rounds=args.rounds)
+    result = run_pipeline(circuit, [RewritePass(max_rounds=args.rounds)],
+                          params=RewriteParams(cut_size=6, cut_limit=12, verify=False))
     optimised = result.final
-    print(f"after {result.num_rounds} round(s):   {optimised.num_ands} AND / "
+    print(f"after {len(result.rounds)} round(s):   {optimised.num_ands} AND / "
           f"{optimised.num_xors} XOR, multiplicative depth {multiplicative_depth(optimised)}")
     print(f"AND reduction: {100 * result.and_improvement:.0f}% "
           f"(paper, full MD5, until convergence: 68%)")

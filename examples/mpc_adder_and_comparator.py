@@ -9,7 +9,7 @@ Bristol-Fashion netlists (the format MPC frameworks consume), and reports the
 garbling cost before and after.
 """
 
-from repro import McDatabase, RewriteParams, equivalent, optimize
+from repro import McDatabase, RewriteParams, equivalent, run_pipeline, standard_flow
 from repro.circuits.arithmetic import adder, comparator
 from repro.io import write_bristol
 
@@ -29,7 +29,8 @@ def main() -> None:
         ("32-bit adder", adder(32), ([32, 32], [32, 1])),
         ("32-bit unsigned <", comparator(32, signed=False, strict=True), ([32, 32], [1])),
     ):
-        result = optimize(circuit, database=database, params=params)
+        result = run_pipeline(circuit, standard_flow(), database=database,
+                              params=params)
         optimised = result.final
         assert equivalent(circuit, optimised)
         print(f"{name}")
@@ -38,7 +39,7 @@ def main() -> None:
         print(f"  after  : {optimised.num_ands:4d} AND / {optimised.num_xors:4d} XOR "
               f"-> {garbling_cost(optimised.num_ands)}")
         print(f"  saving : {100 * (1 - optimised.num_ands / circuit.num_ands):.0f}% of the "
-              f"garbled-circuit cost, {result.num_rounds} rewriting rounds")
+              f"garbled-circuit cost, {len(result.rounds)} rewriting rounds")
 
         bristol = write_bristol(optimised, *widths)
         print(f"  Bristol-Fashion netlist: {len(bristol.splitlines())} lines "

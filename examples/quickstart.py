@@ -6,7 +6,8 @@ adder described with the conventional 3-AND structure is rewritten down to a
 single AND gate — its multiplicative complexity.
 """
 
-from repro import Xag, optimize, RewriteParams, equivalent, multiplicative_depth
+from repro import (RewriteParams, Xag, equivalent, multiplicative_depth,
+                   run_pipeline, standard_flow)
 from repro.xag import to_dot
 
 
@@ -26,11 +27,13 @@ def main() -> None:
     print(f"initial circuit : {full_adder.num_ands} AND, {full_adder.num_xors} XOR, "
           f"multiplicative depth {multiplicative_depth(full_adder)}")
 
-    result = optimize(full_adder, params=RewriteParams(cut_size=3))
+    # the paper's recipe: one rewriting round, then rounds until convergence
+    result = run_pipeline(full_adder, standard_flow(),
+                          params=RewriteParams(cut_size=3))
     optimised = result.final
     print(f"optimised       : {optimised.num_ands} AND, {optimised.num_xors} XOR, "
           f"multiplicative depth {multiplicative_depth(optimised)}")
-    print(f"rounds executed : {result.num_rounds}")
+    print(f"rounds executed : {len(result.rounds)}")
     print(f"equivalent      : {equivalent(full_adder, optimised)}")
 
     print("\nGraphviz DOT of the optimised adder (paper Fig. 2(c)):\n")

@@ -19,13 +19,13 @@ The package is organised in layers:
 
 Quick start::
 
-    from repro import Xag, optimize
+    from repro import Xag, run_pipeline, standard_flow
 
     xag = Xag()
     a, b, cin = xag.create_pis(3)
     xag.create_po(xag.create_xor_multi([a, b, cin]), "sum")
     xag.create_po(xag.create_maj_naive(a, b, cin), "cout")
-    result = optimize(xag)
+    result = run_pipeline(xag, standard_flow("mc"))
     print(result.final.num_ands)   # 1 — the multiplicative complexity of a full adder
 """
 
@@ -37,7 +37,6 @@ from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.mc.synthesize import McSynthesizer
 from repro.affine.classify import AffineClassifier
-from repro.rewriting.flow import depth_flow, optimize, one_round, size_optimize, paper_flow
 from repro.rewriting.pipeline import parse_flow, run_pipeline, standard_flow
 from repro.rewriting.rewrite import CutRewriter, RewriteParams
 
@@ -54,11 +53,6 @@ __all__ = [
     "McDatabase",
     "McSynthesizer",
     "AffineClassifier",
-    "optimize",
-    "one_round",
-    "size_optimize",
-    "paper_flow",
-    "depth_flow",
     "parse_flow",
     "run_pipeline",
     "standard_flow",

@@ -1,32 +1,58 @@
 """Renderers for the paper's experiment tables.
 
 The harness in ``benchmarks/`` produces one :class:`TableRow` per benchmark by
-running :func:`repro.rewriting.flow.paper_flow`; the functions here format the
-rows in the same layout as the paper's Table 1 / Table 2 (initial, one round,
-repeat-until-convergence) and add a paper-vs-measured comparison so the
-EXPERIMENTS.md log can be regenerated mechanically.
+running the paper's flow (:func:`repro.rewriting.pipeline.standard_flow`)
+through :func:`repro.rewriting.pipeline.run_pipeline`; the functions here
+format the rows in the same layout as the paper's Table 1 / Table 2 (initial,
+one round, repeat-until-convergence) and add a paper-vs-measured comparison
+so the EXPERIMENTS.md log can be regenerated mechanically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.analysis.metrics import normalized_geometric_mean
 from repro.circuits.benchmark_case import BenchmarkCase
-from repro.rewriting.flow import PaperFlowResult
+from repro.rewriting.pipeline import PassResult, PipelineResult
 
 
 @dataclass
 class TableRow:
-    """Measured numbers for one benchmark row."""
+    """Measured numbers for one benchmark row.
+
+    ``result`` comes from :func:`~repro.rewriting.pipeline.standard_flow`:
+    its ``initial`` network (post-baseline) is the "Initial" column, the
+    pass named ``one-round`` the "One round" columns and its ``final``
+    network the "Repeat until convergence" columns.
+    """
 
     case: BenchmarkCase
-    result: PaperFlowResult
+    result: PipelineResult
 
     @property
     def name(self) -> str:
         return self.case.name
+
+    @property
+    def one_round_pass(self) -> PassResult:
+        """The flow's ``one-round`` pass."""
+        return next(result for result in self.result.walk()
+                    if result.name == "one-round")
+
+    @property
+    def one_round_improvement(self) -> float:
+        """Fractional AND reduction after a single rewriting round."""
+        before = self.result.ands_before
+        if before == 0:
+            return 0.0
+        return 1.0 - self.one_round_pass.ands_after / before
+
+    @property
+    def convergence_seconds(self) -> float:
+        """Wall clock of the rewriting rounds (the size baseline excluded)."""
+        return self.result.runtime_seconds - self.result.stage_seconds("baseline")
 
 
 def _format_percent(value: float) -> str:
@@ -47,20 +73,21 @@ def render_results_table(rows: Sequence[TableRow], title: str) -> str:
     lines = [title, subheader, header, "-" * len(header)]
     for row in rows:
         result = row.result
+        one = row.one_round_pass
         lines.append(
-            f"{row.name:<22} {result.num_inputs:>5} {result.num_outputs:>5} | "
+            f"{row.name:<22} {result.initial.num_pis:>5} {result.initial.num_pos:>5} | "
             f"{result.initial.num_ands:>7} {result.initial.num_xors:>7} | "
-            f"{result.after_one_round.num_ands:>7} {result.after_one_round.num_xors:>7} "
-            f"{result.one_round_seconds:>8.2f} {_format_percent(result.one_round_improvement):>6} | "
-            f"{result.after_convergence.num_ands:>7} {result.after_convergence.num_xors:>7} "
-            f"{result.convergence_seconds:>8.2f} {_format_percent(result.convergence_improvement):>6}"
+            f"{one.ands_after:>7} {one.xors_after:>7} "
+            f"{one.runtime_seconds:>8.2f} {_format_percent(row.one_round_improvement):>6} | "
+            f"{result.final.num_ands:>7} {result.final.num_xors:>7} "
+            f"{row.convergence_seconds:>8.2f} {_format_percent(result.and_improvement):>6}"
         )
     geomean_one = normalized_geometric_mean(
         [row.result.initial.num_ands for row in rows],
-        [row.result.after_one_round.num_ands for row in rows])
+        [row.one_round_pass.ands_after for row in rows])
     geomean_conv = normalized_geometric_mean(
         [row.result.initial.num_ands for row in rows],
-        [row.result.after_convergence.num_ands for row in rows])
+        [row.result.final.num_ands for row in rows])
     lines.append("-" * len(header))
     if geomean_one is not None and geomean_conv is not None:
         lines.append(
@@ -81,7 +108,7 @@ def render_paper_comparison(rows: Sequence[TableRow], title: str) -> str:
         paper = row.case.paper
         ours = row.result
         paper_impr = paper.convergence_improvement or paper.one_round_improvement
-        ours_impr = ours.convergence_improvement
+        ours_impr = ours.and_improvement
         shape_ok = _same_shape(paper_impr, ours_impr)
         lines.append(
             f"{row.name:<22} {paper.initial_and:>15} {ours.initial.num_ands:>14} "
@@ -108,10 +135,10 @@ def rows_to_markdown(rows: Sequence[TableRow], title: str) -> str:
         paper = row.case.paper
         result = row.result
         lines.append(
-            f"| {row.name} | {result.num_inputs} | {result.num_outputs} "
+            f"| {row.name} | {result.initial.num_pis} | {result.initial.num_pos} "
             f"| {result.initial.num_ands}/{result.initial.num_xors} "
-            f"| {result.after_one_round.num_ands} ({_format_percent(result.one_round_improvement)}) "
-            f"| {result.after_convergence.num_ands} ({_format_percent(result.convergence_improvement)}) "
+            f"| {row.one_round_pass.ands_after} ({_format_percent(row.one_round_improvement)}) "
+            f"| {result.final.num_ands} ({_format_percent(result.and_improvement)}) "
             f"| {paper.initial_and} | {_format_percent(paper.convergence_improvement)} |"
         )
     return "\n".join(lines)

@@ -32,8 +32,8 @@ behind one object that the cut enumerator (:func:`repro.cuts.enumeration
   function hits the MC database (and affine classification) once per batch
   of circuits, not once per cut per round.
 
-The cache is deliberately long-lived: :func:`repro.rewriting.flow.optimize`
-keeps one across all rounds of a convergence loop, and
+The cache is deliberately long-lived: :func:`repro.rewriting.pipeline.run_pipeline`
+keeps one across all passes and rounds of a flow, and
 :mod:`repro.engine` keeps one across a whole batch of benchmark circuits.
 """
 

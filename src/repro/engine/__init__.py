@@ -1,8 +1,10 @@
 """Batch orchestration engine for the MC cut-rewriting flow.
 
-:mod:`repro.engine` is the scaling layer on top of the single-circuit flows
-in :mod:`repro.rewriting.flow`: it resolves benchmark suites (EPFL Table 1,
-MPC/FHE Table 2), runs :func:`repro.rewriting.flow.paper_flow` over every
+:mod:`repro.engine` is the scaling layer on top of the single-circuit pass
+pipelines of :mod:`repro.rewriting.pipeline`: it resolves benchmark suites
+(EPFL Table 1, MPC/FHE Table 2), runs
+:func:`repro.rewriting.pipeline.run_pipeline` with the configured flow
+(:func:`repro.rewriting.pipeline.standard_flow` by default) over every
 selected circuit with **one shared MC database, one shared cut-function
 cache and one shared simulation cache**, collects per-stage timings (build,
 one round, convergence, verification), and renders the batch as a report.

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -53,8 +53,7 @@ from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.rewriting.cost import CostModel, cost_model
 from repro.rewriting.pipeline import (FlowSummary, Pass, PipelineResult,
-                                      SizeBaselinePass, contains_depth_guard,
-                                      contains_pass, flow_mode_comparable,
+                                      SizeBaselinePass, contains_pass,
                                       flow_script, parse_flow, run_pipeline,
                                       standard_flow)
 from repro.rewriting.rewrite import RewriteParams, RoundStats
@@ -102,7 +101,7 @@ class EngineConfig:
     #: cap on rewriting rounds (``None`` = run to convergence).  For the
     #: "mc"/"size" pipelines this bounds the total rounds per circuit; for
     #: "mc-depth" it bounds the rounds *per stage and iteration* of the
-    #: depth flow (see :func:`repro.rewriting.flow.depth_flow`).
+    #: depth flow (see :func:`repro.rewriting.pipeline.standard_flow`).
     max_rounds: Optional[int] = 2
     #: run the generic size-optimisation baseline before MC rewriting.
     size_baseline: bool = False
@@ -578,15 +577,6 @@ def run_circuit(case: BenchmarkCase, config: EngineConfig,
                                objective=config.objective, verify=verify,
                                in_place=config.in_place,
                                par_grain=config.par_grain)
-        if contains_depth_guard(passes) or not flow_mode_comparable(passes):
-            # guarded rounds — and rounds priced by a depth-aware model —
-            # decide in place against maintained levels; --rebuild replays
-            # the in-place trajectory with per-round out-of-place
-            # cross-checks instead of forking a second trajectory (see
-            # RewriteParams.ab_check).
-            params = replace(params, in_place=True,
-                             ab_check=params.ab_check or not config.in_place)
-
         result: PipelineResult = run_pipeline(
             xag, passes, database=database, params=params,
             cut_cache=cut_cache, sim_cache=sim_cache)

@@ -19,11 +19,10 @@ forked engine path.  This module replaces that with three orthogonal ideas:
 
 * :class:`Pass` — the unit of composition: ``run(ctx) -> PassResult`` with
   uniform statistics (counts, depth, rounds, balance stats, timing,
-  verification), replacing the former ``FlowResult`` / ``PaperFlowResult`` /
-  ``DepthFlowResult`` triplication.  Concrete passes are
-  :class:`SweepPass`, :class:`BalancePass`, :class:`RewritePass` and
-  :class:`SizeBaselinePass`; :class:`Repeat` and :class:`DepthGuard` are
-  combinators over other passes.
+  verification); a whole pipeline reports one :class:`PipelineResult`.
+  Concrete passes are :class:`SweepPass`, :class:`BalancePass`,
+  :class:`RewritePass` and :class:`SizeBaselinePass`; :class:`Repeat` and
+  :class:`DepthGuard` are combinators over other passes.
 
 * a tiny **flow-script language** (:func:`parse_flow`) so pipelines can be
   composed from the command line::
@@ -48,9 +47,17 @@ forked engine path.  This module replaces that with three orthogonal ideas:
   wraps a rewrite atom and snapshots the working network before each round,
   discarding any round that raises the critical AND-level.
 
-The legacy entry points (:func:`repro.rewriting.flow.optimize`,
-``paper_flow``, ``depth_flow``) are thin aliases over these passes and keep
-their signatures, so existing callers are untouched.
+:func:`run_pipeline` is the one way to run a flow::
+
+    run_pipeline(xag, standard_flow("mc"))            # one round, converge
+    run_pipeline(xag, parse_flow("baseline,mc,mc*"))  # with a size baseline
+    run_pipeline(xag, [RewritePass(max_rounds=2)],
+                 params=RewriteParams(cut_size=4))    # bare rewriting rounds
+
+It also decides the execution mode, once for every caller: guarded and
+depth-aware flows run in place, and under ``in_place=False`` they replay
+the in-place trajectory with per-round out-of-place cross-checks
+(:attr:`~repro.rewriting.rewrite.RewriteParams.ab_check`).
 """
 
 from __future__ import annotations
@@ -106,9 +113,8 @@ class FlowSummary:
     Subclasses provide ``ands_before`` / ``ands_after`` / ``depth_before`` /
     ``depth_after`` (fields or properties) and a ``rounds`` sequence of
     :class:`~repro.rewriting.rewrite.RoundStats`; this mixin derives the
-    fractional improvements and the convergence predicate from them — the
-    single definition the former ``FlowResult`` / ``PaperFlowResult`` /
-    ``DepthFlowResult`` triplet used to duplicate.
+    fractional improvements and the convergence predicate from them for
+    pass results, pipeline results and engine reports alike.
     """
 
     @property
@@ -632,9 +638,6 @@ class DepthGuard(Pass):
     def run(self, ctx: OptimizationContext) -> PassResult:
         start = time.perf_counter()
         params = self.inner.resolved_params(ctx)
-        if not params.in_place:
-            # discarding a round needs the snapshot/restore machinery
-            params = replace(params, in_place=True)
         result = self.begin(ctx, objective=cost_model(params.objective).name)
         _drain_worklist(ctx, params, result, self.inner.max_rounds,
                         guard_level=ctx.critical_level())
@@ -652,12 +655,11 @@ class Repeat(Pass):
     kind = "repeat"
 
     def __init__(self, passes: Sequence[Pass], max_iterations: int = 8,
-                 until_fixpoint: bool = True, name: str = "repeat") -> None:
+                 name: str = "repeat") -> None:
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         self.passes = list(passes)
         self.max_iterations = max_iterations
-        self.until_fixpoint = until_fixpoint
         self.name = name
 
     def run(self, ctx: OptimizationContext) -> PassResult:
@@ -674,8 +676,7 @@ class Repeat(Pass):
                 result.balance.extend(child.balance)
                 result.discarded_rounds += child.discarded_rounds
                 changed = changed or child.changed
-            if self.until_fixpoint and not changed \
-                    and ctx.score() == score_before:
+            if not changed and ctx.score() == score_before:
                 break
         return self.complete(ctx, result, start)
 
@@ -757,11 +758,15 @@ def run_pipeline(xag: Xag, passes: Sequence[Pass],
     """Run ``passes`` over one shared :class:`OptimizationContext`.
 
     The input network is never modified.  Returns the uniform
-    :class:`PipelineResult`; callers needing the context mid-flow (the
-    ``paper_flow`` alias snapshots the network between passes) drive the
-    passes themselves.
+    :class:`PipelineResult`; the per-stage numbers of a multi-stage flow
+    (e.g. the ``one-round`` pass of :func:`standard_flow`) are read from
+    :attr:`PipelineResult.passes`.  ``params`` is resolved through
+    :func:`execution_params` first, so the execution mode of guarded and
+    depth-aware flows is decided here for every caller.
     """
     start = time.perf_counter()
+    params = execution_params(passes, params if params is not None
+                              else RewriteParams())
     ctx = OptimizationContext(xag, database=database, params=params,
                               cut_cache=cut_cache, sim_cache=sim_cache)
     results = [pass_.run(ctx) for pass_ in passes]
@@ -814,16 +819,27 @@ def contains_pass(passes: Sequence[Pass], pass_type: type) -> bool:
     return False
 
 
-def contains_depth_guard(passes: Sequence[Pass]) -> bool:
-    """True when any (nested) pass is a :class:`DepthGuard`.
+def execution_params(passes: Sequence[Pass],
+                     params: RewriteParams) -> RewriteParams:
+    """The parameters ``passes`` actually run under (the execution policy).
 
-    Guarded pipelines decide rounds in place (the snapshot/restore machinery
-    needs one persistent working network), so the engine's ``--rebuild``
-    mode replays the in-place trajectory with per-round out-of-place
-    cross-checks instead of forking a second trajectory — see
-    :attr:`repro.rewriting.rewrite.RewriteParams.ab_check`.
+    Guarded flows (the snapshot/restore machinery needs one persistent
+    working network) and flows with a depth-aware rewrite step (rounds are
+    decided against maintained levels) run in place.  Two independent
+    in-place and rebuild trajectories of such flows would drift apart, so
+    ``in_place=False`` does not fork a second trajectory: the rounds are
+    still decided and applied in place, and every round's selections are
+    additionally cross-applied out-of-place
+    (:attr:`~repro.rewriting.rewrite.RewriteParams.ab_check`).  Both modes
+    thus reach identical results by construction.  A rewrite pass without
+    an objective of its own is judged by ``params.objective``.
     """
-    return contains_pass(passes, DepthGuard)
+    if params.in_place:
+        return params
+    if contains_pass(passes, DepthGuard) or \
+            not flow_mode_comparable(passes, params.objective):
+        return replace(params, in_place=True, ab_check=True)
+    return params
 
 
 # ----------------------------------------------------------------------
@@ -998,29 +1014,28 @@ def flow_script(passes: Sequence[Pass]) -> str:
     return ",".join(_step_script(pass_) for pass_ in passes)
 
 
-def flow_mode_comparable(passes: Sequence[Pass]) -> bool:
+def flow_mode_comparable(passes: Sequence[Pass],
+                         objective: Union[str, CostModel] = "mc") -> bool:
     """True when every (nested) rewrite pass prices a mode-comparable model.
 
     Mode-comparable flows reach identical metrics under independent in-place
     and rebuild trajectories, so the differential harness compares them
     directly.  A flow with any depth-aware (non-mode-comparable) rewrite
     step decides rounds against maintained levels of one persistent network;
-    its rebuild mode must replay the in-place trajectory with per-round A/B
-    cross-checks instead — exactly like flows containing a
-    :class:`DepthGuard` (see :func:`contains_depth_guard`).  Rewrite passes
-    without an explicit objective inherit the context's model and are
-    treated as comparable here; the engine resolves those against its
-    configured cost model before deciding the execution mode.
+    its rebuild mode replays the in-place trajectory with per-round A/B
+    cross-checks instead (see :func:`execution_params`).  Rewrite passes
+    without an explicit objective inherit the context's model, ``objective``.
     """
     for pass_ in passes:
         if isinstance(pass_, RewritePass):
-            if pass_.objective is not None and \
-                    not cost_model(pass_.objective).mode_comparable:
+            model = pass_.objective if pass_.objective is not None \
+                else objective
+            if not cost_model(model).mode_comparable:
                 return False
         elif isinstance(pass_, DepthGuard):
-            if not flow_mode_comparable([pass_.inner]):
+            if not flow_mode_comparable([pass_.inner], objective):
                 return False
         elif isinstance(pass_, Repeat):
-            if not flow_mode_comparable(pass_.passes):
+            if not flow_mode_comparable(pass_.passes, objective):
                 return False
     return True

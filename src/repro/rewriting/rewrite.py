@@ -59,11 +59,6 @@ from repro.xag.equivalence import equivalence_stimulus, equivalent
 from repro.xag.graph import Xag, lit_node, literal
 from repro.xag.levels import LevelCache, LevelTracker
 
-#: the original built-in objectives, kept for backwards compatibility; the
-#: registry (:func:`repro.rewriting.cost.registered_cost_models`) is the
-#: authoritative list — it also holds "fhe" and any user-registered model.
-OBJECTIVES = ("mc", "size", "mc-depth")
-
 
 @dataclass
 class RewriteParams:
@@ -97,8 +92,9 @@ class RewriteParams:
     #: rebuilt applications may differ transiently in exact counts (cascade
     #: folds defer some savings by one round; reconstruction re-strashes
     #: globally), so the check validates invariants, not structural
-    #: equality.  The depth flow enables this when the engine runs
-    #: ``--rebuild`` — see :func:`repro.rewriting.flow.depth_flow`.
+    #: equality.  Guarded and depth-aware flows run with this under
+    #: ``in_place=False`` — see
+    #: :func:`repro.rewriting.pipeline.execution_params`.
     ab_check: bool = False
     #: intra-circuit parallelism grain: fan the pure Phase-1 work of each
     #: drain — cut-set recomputation, cone interior walks, MFFC computation
@@ -697,7 +693,8 @@ class CutRewriter:
             leaf_signals = [resolve(literal(leaf)) for leaf in candidate.cut.leaves]
             nodes_before = xag.num_nodes
             new_lit = insert_plan(xag, candidate.plan, leaf_signals)
-            if (new_lit >> 1) != root:
+            if (new_lit >> 1) != root and \
+                    not self._cone_reaches(xag, new_lit, root, leaf_signals):
                 result = xag.substitute_node(root, new_lit)
                 stats.rewrites_applied += 1
                 stats.substitutions += len(result.pairs)
@@ -716,6 +713,33 @@ class CutRewriter:
         # final sweep compacts them away either way.
         return {node for node in seeds
                 if node < xag.num_nodes and not xag.is_dead(node)}
+
+    @staticmethod
+    def _cone_reaches(xag: Xag, lit: int, root: int,
+                      leaf_signals: List[int]) -> bool:
+        """True when the plan cone of ``lit`` contains ``root``.
+
+        Structural hashing can make :func:`insert_plan` return an existing
+        node that is equal in function to ``root`` but built on top of it
+        (e.g. a hit on ``root`` itself and then on one of its fanouts);
+        substituting ``root`` by such a literal would close a combinational
+        loop.  The walk stops at the leaf signals, so it stays inside the
+        cone the plan built.
+        """
+        stop = {lit_node(signal) for signal in leaf_signals}
+        stack = [lit_node(lit)]
+        seen: Set[int] = set()
+        while stack:
+            node = stack.pop()
+            if node == root:
+                return True
+            if node in seen or node in stop or not xag.is_gate(node):
+                continue
+            seen.add(node)
+            f0, f1 = xag.fanins(node)
+            stack.append(lit_node(f0))
+            stack.append(lit_node(f1))
+        return False
 
     # ------------------------------------------------------------------
     # phase 2b: out-of-place reconstruction

@@ -7,8 +7,9 @@ For every seeded random XAG the same flow script (see
   (database, cut-function cache, simulation cache) across *all* seeds of the
   run, exactly like a long engine batch;
 * **rebuild** — the ``--rebuild`` engine path (out-of-place reconstruction;
-  flows containing a depth guard replay the in-place trajectory with
-  per-round A/B cross-checks, mirroring :func:`repro.engine.core.run_circuit`);
+  guarded and depth-aware flows replay the in-place trajectory with
+  per-round A/B cross-checks, as
+  :func:`repro.rewriting.pipeline.run_pipeline` decides for every caller);
 * **fresh** — in-place again, but with a brand-new cache trio, so any result
   that *depends* on accumulated cache state shows up as a divergence.
 
@@ -51,8 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.cuts.cache import CutFunctionCache
 from repro.mc.database import McDatabase
 from repro.rewriting.cost import cost_model, registered_cost_models
-from repro.rewriting.pipeline import (contains_depth_guard,
-                                      flow_mode_comparable, parse_flow,
+from repro.rewriting.pipeline import (flow_mode_comparable, parse_flow,
                                       run_pipeline)
 from repro.rewriting.rewrite import RewriteParams
 from repro.testing.generate import random_xag
@@ -175,21 +175,12 @@ def _run_mode(xag: Xag, flow: str, in_place: bool,
               sim_cache: SimulationCache, cut_size: int, cut_limit: int,
               par_grain: int = 1):
     """Execute one flow under one application mode (engine parity)."""
-    passes = parse_flow(flow)
     params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
                            verify=True, in_place=in_place,
                            par_grain=par_grain)
-    if not in_place and (contains_depth_guard(passes) or
-                         not flow_mode_comparable(passes)):
-        # guarded rounds and depth-aware cost models decide in place; the
-        # rebuild mode replays the trajectory with per-round out-of-place
-        # cross-checks, exactly like repro.engine.core.run_circuit under
-        # --rebuild.
-        params = RewriteParams(cut_size=cut_size, cut_limit=cut_limit,
-                               verify=True, in_place=True, ab_check=True,
-                               par_grain=par_grain)
-    return run_pipeline(xag, passes, database=database, params=params,
-                        cut_cache=cut_cache, sim_cache=sim_cache)
+    return run_pipeline(xag, parse_flow(flow), database=database,
+                        params=params, cut_cache=cut_cache,
+                        sim_cache=sim_cache)
 
 
 def check_modes(xag: Xag, flow: str,

@@ -26,8 +26,6 @@ from repro.xag.levels import LevelCache, LevelTracker
 from repro.xag.balance import BalanceStats, balance, balance_in_place
 from repro.xag.cleanup import is_swept, sweep, sweep_owned, sweep_with_map
 from repro.xag.structhash import (
-    StructHashCache,
-    StructHashTracker,
     cone_hash,
     graph_hash,
     node_hashes,
@@ -64,8 +62,6 @@ __all__ = [
     "BalanceStats",
     "balance",
     "balance_in_place",
-    "StructHashCache",
-    "StructHashTracker",
     "cone_hash",
     "graph_hash",
     "node_hashes",

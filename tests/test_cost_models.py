@@ -9,10 +9,10 @@ from repro.engine import EngineConfig, run_batch
 from repro.engine.cli import build_parser, config_from_args, main
 from repro.engine.core import resolved_flow, run_circuit, select_cases
 from repro.rewriting import (CostModel, FheNoiseBudgetCost, McCost,
-                             RewriteParams, cost_model, flow_script,
-                             optimize, parse_flow, register_cost_model,
-                             registered_cost_models, standard_flow,
-                             unregister_cost_model)
+                             RewriteParams, RewritePass, cost_model,
+                             flow_script, parse_flow, register_cost_model,
+                             registered_cost_models, run_pipeline,
+                             standard_flow, unregister_cost_model)
 from repro.testing.diff import cost_model_flow
 from repro.xag import equivalent, multiplicative_depth
 
@@ -244,7 +244,8 @@ def test_fhe_level_cap_flags_budget():
 def test_fhe_objective_monotone_on_control_circuits():
     for builder in (C.int_to_float, lambda: C.priority_encoder(16)):
         xag = builder()
-        result = optimize(xag, params=RewriteParams(objective="fhe"))
+        result = run_pipeline(xag, [RewritePass()],
+                              params=RewriteParams(objective="fhe"))
         assert equivalent(xag, result.final)
         assert result.final.num_ands <= xag.num_ands
         assert multiplicative_depth(result.final) <= multiplicative_depth(xag)
@@ -252,8 +253,9 @@ def test_fhe_objective_monotone_on_control_circuits():
 
 def test_custom_model_instance_in_rewriter(weighted_model):
     xag = C.int_to_float()
-    result = optimize(xag, params=RewriteParams(objective=_AndWeightedCost()))
-    baseline = optimize(xag)
+    result = run_pipeline(xag, [RewritePass()],
+                          params=RewriteParams(objective=_AndWeightedCost()))
+    baseline = run_pipeline(xag, [RewritePass()])
     # mc-identical pricing must reach the mc result
     assert result.final.num_ands == baseline.final.num_ands
     assert equivalent(xag, result.final)

@@ -609,12 +609,13 @@ def test_batch_report_summary_pins_meaningful_metrics():
 # ----------------------------------------------------------------------
 def test_cached_flow_produces_same_result_as_uncached():
     """Shared caches must not change the optimisation result, only its cost."""
-    from repro.rewriting import optimize
+    from repro.rewriting import RewritePass, run_pipeline
 
     xag = random_xag(random.Random(4), num_pis=6, num_gates=45)
-    plain = optimize(xag, max_rounds=2)
-    cached = optimize(xag, max_rounds=2,
-                      cut_cache=CutFunctionCache(), sim_cache=SimulationCache())
+    plain = run_pipeline(xag, [RewritePass(max_rounds=2)])
+    cached = run_pipeline(xag, [RewritePass(max_rounds=2)],
+                          cut_cache=CutFunctionCache(),
+                          sim_cache=SimulationCache())
     assert plain.final.num_ands == cached.final.num_ands
     assert plain.final.num_xors == cached.final.num_xors
     from repro.xag import equivalent

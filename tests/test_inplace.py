@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from repro import kernels
 from repro.testing import random_xag
 from repro.circuits import arithmetic as A
 from repro.circuits import control as C
 from repro.cuts.cache import CutFunctionCache
 from repro.cuts.enumeration import CutSetCache, enumerate_cuts
-from repro.rewriting import CutRewriter, RewriteParams, optimize, paper_flow
-from repro.xag import (BitSimulator, LevelTracker, StructHashTracker,
-                       balance_in_place, equivalent, is_swept, node_hashes,
-                       node_levels, node_values, sweep)
+from repro.rewriting import (CutRewriter, RewriteParams, RewritePass,
+                             run_pipeline, standard_flow)
+from repro.testing.oracle import find_counterexample
+from repro.xag import (BitSimulator, LevelTracker, balance_in_place,
+                       equivalent, is_swept, node_levels, node_values, sweep)
 from repro.xag.equivalence import equivalence_stimulus
 from repro.xag.graph import Xag, lit_node, lit_not, literal
 
@@ -242,63 +242,6 @@ def test_maintained_levels_under_random_edit_and_balance_sequences():
                         f"seed {seed} step {step} node {node} and_only {and_only}"
 
 
-@pytest.mark.parametrize("backend_name", [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not kernels.numpy_available(),
-        reason="numpy backend not importable")),
-])
-def test_maintained_hashes_under_random_edit_and_balance_sequences(backend_name):
-    """Maintained structural hashes must equal a fresh ``node_hashes``
-    recompute after random substitute/rollback/balance sequences — the same
-    discipline the level tracker pins, on both kernel backends (satellite)."""
-    total_full = total_incremental = 0
-    with kernels.use_backend(backend_name):
-        for seed in range(6):
-            rng = random.Random(2000 + seed)
-            xag = random_xag(rng, num_pis=5, num_gates=30, and_bias=0.6)
-            tracker = StructHashTracker(xag)
-            tracker.sync()
-
-            for step in range(10):
-                action = rng.random()
-                live_gates = list(xag.gates())
-                if action < 0.4 and live_gates:
-                    node = rng.choice(live_gates)
-                    forbidden = xag.transitive_fanout([node])
-                    candidates = [n for n in xag.topological_order()
-                                  if n != node and not xag.is_constant(n)
-                                  and n not in forbidden]
-                    if not candidates:
-                        continue
-                    xag.substitute_node(node, literal(rng.choice(candidates),
-                                                      rng.random() < 0.5))
-                elif action < 0.55 and live_gates:
-                    xag.substitute_node(rng.choice(live_gates),
-                                        rng.randint(0, 1))
-                elif action < 0.75:
-                    checkpoint = xag.checkpoint()
-                    pis = xag.pi_literals()
-                    xag.create_and(
-                        xag.create_xor(rng.choice(pis), rng.choice(pis)),
-                        rng.choice(pis))
-                    tracker.sync()
-                    xag.rollback(checkpoint)
-                else:
-                    balance_in_place(xag, verify=True)
-
-                fresh = node_hashes(xag)
-                maintained = tracker.hashes()
-                for node in xag.topological_order():
-                    assert maintained[node] == fresh[node], \
-                        f"seed {seed} step {step} node {node}"
-            total_full += tracker.full_updates
-            total_incremental += tracker.incremental_updates
-    # the sequences must exercise both maintenance paths
-    assert total_full >= 1
-    assert total_incremental >= 1
-
-
 def test_construction_path_revive_notifies_observers():
     """Reviving a dead node via create_* must invalidate stale sim words."""
     xag = Xag()
@@ -356,7 +299,8 @@ def test_in_place_flow_result_is_swept():
     """Plan-insertion orphans and dead slots are compacted by the flow."""
     for builder in (C.int_to_float, lambda: C.priority_encoder(16)):
         xag = builder()
-        result = optimize(xag, params=RewriteParams(in_place=True))
+        result = run_pipeline(xag, [RewritePass()],
+                              params=RewriteParams(in_place=True))
         assert is_swept(result.final)
         assert result.final.num_dead == 0
 
@@ -432,12 +376,18 @@ def test_cut_set_cache_recomputes_only_dirty_fanout():
     lambda: C.int_to_float(),
     lambda: C.priority_encoder(16),
     lambda: A.adder(8),
+    # strash hits used to make a plan's root depend on itself (a loop)
+    lambda: C.alu_control_unit(seed=2031),
 ])
 def test_in_place_and_rebuild_reach_identical_and_counts(builder):
     xag = builder()
-    res_in = optimize(xag, params=RewriteParams(in_place=True))
-    res_out = optimize(xag, params=RewriteParams(in_place=False))
+    res_in = run_pipeline(xag, [RewritePass()],
+                          params=RewriteParams(in_place=True))
+    res_out = run_pipeline(xag, [RewritePass()],
+                           params=RewriteParams(in_place=False))
     assert equivalent(xag, res_in.final)
+    assert find_counterexample(xag, res_in.final) is None
+    assert res_in.verified
     assert res_in.final.num_ands == res_out.final.num_ands
     assert all(s.mode == "in_place" for s in res_in.rounds)
     assert all(s.mode == "rebuild" for s in res_out.rounds)
@@ -445,7 +395,8 @@ def test_in_place_and_rebuild_reach_identical_and_counts(builder):
 
 def test_in_place_flow_reports_worklist_rounds():
     xag = C.int_to_float()
-    result = optimize(xag, params=RewriteParams(in_place=True))
+    result = run_pipeline(xag, [RewritePass()],
+                          params=RewriteParams(in_place=True))
     assert result.rounds[0].worklist_size == 0          # first round: all gates
     assert all(s.worklist_size > 0 for s in result.rounds[1:])
     assert sum(s.substitutions for s in result.rounds) > 0
@@ -455,11 +406,13 @@ def test_in_place_flow_reports_worklist_rounds():
 
 def test_paper_flow_in_place_matches_rebuild():
     xag = C.priority_encoder(16)
-    flow_in = paper_flow(xag, params=RewriteParams(in_place=True))
-    flow_out = paper_flow(xag, params=RewriteParams(in_place=False))
-    assert flow_in.after_one_round.num_ands == flow_out.after_one_round.num_ands
-    assert flow_in.after_convergence.num_ands == flow_out.after_convergence.num_ands
-    assert equivalent(xag, flow_in.after_convergence)
+    flow_in = run_pipeline(xag, standard_flow(),
+                           params=RewriteParams(in_place=True))
+    flow_out = run_pipeline(xag, standard_flow(),
+                            params=RewriteParams(in_place=False))
+    assert flow_in.passes[0].ands_after == flow_out.passes[0].ands_after
+    assert flow_in.final.num_ands == flow_out.final.num_ands
+    assert equivalent(xag, flow_in.final)
 
 
 def test_rewrite_does_not_mutate_input():

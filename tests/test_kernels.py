@@ -21,7 +21,7 @@ from repro.cuts.cache import _simulate_cone
 from repro.cuts.enumeration import cut_cone, enumerate_cuts
 from repro.engine import EngineConfig
 from repro.engine.core import run_batch, select_cases
-from repro.rewriting import RewriteParams, optimize
+from repro.rewriting import RewriteParams, RewritePass, run_pipeline
 from repro.testing import random_xag
 from repro.tt.bits import random_table, table_mask
 from repro.tt.operations import (apply_input_transform, flip_variable,
@@ -289,8 +289,8 @@ def test_classifier_parity(num_vars):
 # ----------------------------------------------------------------------
 # whole-flow parity on the EPFL control registry
 # ----------------------------------------------------------------------
-#: (ANDs, multiplicative depth, rounds) of ``optimize`` with
-#: ``RewriteParams()`` defaults and ``max_rounds=3``, captured on the
+#: (ANDs, multiplicative depth, rounds) of ``[RewritePass(max_rounds=3)]``
+#: with ``RewriteParams()`` defaults, captured on the
 #: python backend.  Both backends must reproduce these exactly.
 CONTROL_PINS = {
     "arbiter": (133, 21, 1),
@@ -310,9 +310,10 @@ def _control_triple(name, backend_name):
     case = select_cases(EngineConfig(suites=("epfl",), circuits=[name]))[0]
     with kernels.use_backend(backend_name):
         xag = case.build()
-        result = optimize(xag, params=RewriteParams(), max_rounds=3)
+        result = run_pipeline(xag, [RewritePass(max_rounds=3)],
+                              params=RewriteParams())
         return (result.final.num_ands, multiplicative_depth(result.final),
-                result.num_rounds)
+                len(result.rounds))
 
 
 @pytest.mark.parametrize("name", sorted(CONTROL_PINS))

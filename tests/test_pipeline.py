@@ -1,9 +1,9 @@
 """Pass-pipeline architecture: context, passes, flow scripts, parity.
 
-The parity golden numbers were captured from the pre-refactor
-``optimize`` / ``paper_flow`` implementations (hand-rolled drains, PR 4) on
-the EPFL control group with ``RewriteParams()`` defaults and
-``max_rounds=3``; the pipeline-built aliases must reproduce them exactly.
+The parity golden numbers were captured from the hand-rolled one-round →
+convergence drains that preceded the pass pipeline, on the EPFL control
+group with ``RewriteParams()`` defaults and ``max_rounds=3``; the pipeline
+must reproduce them exactly.
 The depth flow switched its guarded-mc stage from restart-per-round to one
 persistent dirty-node worklist, so its bar is *no regression* of the
 ``(ANDs, depth)`` pair instead of exact equality (see
@@ -22,21 +22,19 @@ from repro.engine import EngineConfig
 from repro.engine.core import run_circuit, select_cases
 from repro.mc import McDatabase
 from repro.rewriting import (BalancePass, DepthGuard, FlowSummary,
-                             OptimizationContext, PassResult, Repeat,
-                             RewriteParams, RewritePass, SizeBaselinePass,
-                             SweepPass, depth_flow, optimize, paper_flow,
-                             parse_flow, run_pipeline, size_optimize,
-                             standard_flow)
-from repro.rewriting.flow import (DepthFlowResult, FlowResult,
-                                  PaperFlowResult)
+                             OptimizationContext, PassResult, PipelineResult,
+                             Repeat, RewriteParams, RewritePass,
+                             SizeBaselinePass, SweepPass, parse_flow,
+                             run_pipeline, standard_flow)
 from repro.xag import (BitSimulator, Xag, equivalent, multiplicative_depth,
                        node_levels)
 from repro.xag.bitsim import SimulationCache
 from repro.xag.equivalence import equivalence_stimulus
 
 #: pre-refactor (ANDs after one round, ANDs at convergence, depth, rounds)
-#: of paper_flow, plus (ANDs, rounds) of optimize, with RewriteParams()
-#: defaults and max_rounds=3 — captured before the pipeline refactor.
+#: of ``standard_flow("mc", max_rounds=3)``, plus (ANDs, rounds) of
+#: ``[RewritePass(max_rounds=3)]``, with RewriteParams() defaults —
+#: captured before the pipeline refactor.
 PAPER_GOLDEN = {
     "arbiter":   (133, 133, 21, 2, 133, 1),
     "alu_ctrl":  (30, 30, 5, 2, 30, 2),
@@ -50,7 +48,7 @@ PAPER_GOLDEN = {
     "voter":     (57, 57, 5, 2, 57, 1),
 }
 
-#: pre-refactor depth_flow (ANDs, depth) pairs on the fast control circuits
+#: pre-refactor depth-flow (ANDs, depth) pairs on the fast control circuits
 #: (same parameters, max_iterations=4) — the persistent-worklist stage may
 #: only match or improve these.
 DEPTH_GOLDEN = {
@@ -71,24 +69,27 @@ def _control_case(name):
 
 
 # ----------------------------------------------------------------------
-# pipeline/legacy parity (EPFL control group)
+# pipeline/pre-refactor parity (EPFL control group)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(PAPER_GOLDEN))
 def test_pipeline_aliases_match_prerefactor_golden(name):
     one_ands, conv_ands, conv_depth, rounds, opt_ands, opt_rounds = \
         PAPER_GOLDEN[name]
     xag = _control_case(name).build()
-    flow = paper_flow(xag, name=name, params=RewriteParams(), max_rounds=3,
-                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
-    assert flow.after_one_round.num_ands == one_ands
-    assert flow.after_convergence.num_ands == conv_ands
-    assert multiplicative_depth(flow.after_convergence) == conv_depth
-    assert flow.convergence_rounds == rounds
+    flow = run_pipeline(xag, standard_flow("mc", max_rounds=3),
+                        params=RewriteParams(), cut_cache=_CUT_CACHE,
+                        sim_cache=_SIM_CACHE)
+    assert flow.passes[0].name == "one-round"
+    assert flow.passes[0].ands_after == one_ands
+    assert flow.final.num_ands == conv_ands
+    assert flow.depth_after == conv_depth
+    assert len(flow.rounds) == rounds
 
-    opt = optimize(xag, params=RewriteParams(), max_rounds=3,
-                   cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    opt = run_pipeline(xag, [RewritePass(max_rounds=3)],
+                       params=RewriteParams(), cut_cache=_CUT_CACHE,
+                       sim_cache=_SIM_CACHE)
     assert opt.final.num_ands == opt_ands
-    assert opt.num_rounds == opt_rounds
+    assert len(opt.rounds) == opt_rounds
 
 
 @pytest.mark.parametrize("name", sorted(DEPTH_GOLDEN))
@@ -96,37 +97,40 @@ def test_depth_flow_never_regresses_prerefactor_pairs(name):
     """Persistent-worklist depth flow: (ANDs, depth) no worse than before."""
     golden_ands, golden_depth = DEPTH_GOLDEN[name]
     xag = _control_case(name).build()
-    flow = depth_flow(xag, params=RewriteParams(objective="mc-depth"),
-                      max_rounds=3, max_iterations=4,
-                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    flow = run_pipeline(
+        xag, standard_flow("mc-depth", max_rounds=3, max_iterations=4),
+        params=RewriteParams(objective="mc-depth"),
+        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert flow.final.num_ands <= golden_ands
-    assert flow.final_depth <= golden_depth
+    assert flow.depth_after <= golden_depth
     assert equivalent(xag, flow.final)
 
 
 def test_standard_flow_matches_paper_flow_alias():
-    """The engine's canonical mc pipeline is the paper flow."""
+    """The engine's canonical mc pipeline is the paper flow script."""
     xag = C.int_to_float()
-    flow = paper_flow(xag, max_rounds=3, cut_cache=_CUT_CACHE,
-                      sim_cache=_SIM_CACHE)
+    flow = run_pipeline(xag, parse_flow("mc,mc*2"), cut_cache=_CUT_CACHE,
+                        sim_cache=_SIM_CACHE)
     result = run_pipeline(xag, standard_flow("mc", max_rounds=3),
                           params=RewriteParams(), cut_cache=_CUT_CACHE,
                           sim_cache=_SIM_CACHE)
-    assert result.final.num_ands == flow.after_convergence.num_ands
-    assert len(result.rounds) == flow.convergence_rounds
+    assert result.final.num_ands == flow.final.num_ands
+    assert len(result.rounds) == len(flow.rounds)
     assert result.verified is True
 
 
 def test_standard_flow_depth_matches_depth_flow_alias():
+    """The canonical mc-depth pipeline is the depth flow script."""
     xag = C.int_to_float()
-    flow = depth_flow(xag, max_rounds=2, max_iterations=3,
-                      cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    flow = run_pipeline(xag, parse_flow("repeat:3(balance,guard(mc*2),"
+                                        "mc-depth*2)"),
+                        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     result = run_pipeline(
         xag, standard_flow("mc-depth", max_rounds=2, max_iterations=3),
         params=RewriteParams(objective="mc-depth"),
         cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert (result.final.num_ands, result.depth_after) == \
-        (flow.final.num_ands, flow.final_depth)
+        (flow.final.num_ands, flow.depth_after)
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +283,7 @@ def test_custom_flow_end_to_end_stays_equivalent():
 def test_result_types_share_flow_summary_base():
     from repro.engine.core import CircuitReport
 
-    for result_type in (FlowResult, PaperFlowResult, DepthFlowResult,
-                        PassResult, CircuitReport):
+    for result_type in (PipelineResult, PassResult, CircuitReport):
         assert issubclass(result_type, FlowSummary)
         for prop in ("and_improvement", "depth_improvement", "converged"):
             assert getattr(result_type, prop) is getattr(FlowSummary, prop)
@@ -288,22 +291,23 @@ def test_result_types_share_flow_summary_base():
 
 def test_flow_summary_arithmetic_on_each_result_type():
     xag = C.int_to_float()
-    flow = optimize(xag, max_rounds=2, cut_cache=_CUT_CACHE,
-                    sim_cache=_SIM_CACHE)
+    flow = run_pipeline(xag, [RewritePass(max_rounds=2)],
+                        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert 0.0 < flow.and_improvement < 1.0
-    paper = paper_flow(xag, max_rounds=2, cut_cache=_CUT_CACHE,
-                       sim_cache=_SIM_CACHE)
-    assert paper.and_improvement == paper.convergence_improvement
-    depth = depth_flow(xag, max_rounds=1, max_iterations=2,
-                       cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    depth = run_pipeline(
+        xag, standard_flow("mc-depth", max_rounds=1, max_iterations=2),
+        cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
     assert depth.depth_improvement >= 0.0
     assert depth.ands_before == xag.num_ands
 
 
 def test_size_optimize_alias_keeps_behaviour():
+    """A lone size baseline rebases the flow onto its own output."""
     xag = C.priority_encoder(8)
-    result = size_optimize(xag, max_rounds=2, cut_cache=_CUT_CACHE,
-                           sim_cache=_SIM_CACHE)
+    result = run_pipeline(xag, [SizeBaselinePass(max_rounds=2)],
+                          cut_cache=_CUT_CACHE, sim_cache=_SIM_CACHE)
+    assert result.final is result.initial
+    assert result.passes[0].ands_before == xag.num_ands
     before = xag.num_ands + xag.num_xors
     after = result.final.num_ands + result.final.num_xors
     assert after <= before
@@ -395,3 +399,34 @@ def test_run_circuit_guarded_flow_forces_inplace_replay():
     assert report.depth_after <= report.depth_before
     assert all(stats.mode == "in_place" for stats in report.rounds)
     assert any(stats.ab_checked for stats in report.rounds)
+
+
+@pytest.mark.parametrize("make_passes, objective", [
+    (lambda: parse_flow("balance,guard(mc*),mc*"), "mc"),
+    (lambda: parse_flow("mc-depth,mc-depth*"), "mc"),
+    # a pass without an objective of its own is judged by params.objective
+    (lambda: [RewritePass(max_rounds=2)], "mc-depth"),
+], ids=["guard", "mc-depth", "bare-pass"])
+def test_run_pipeline_rebuild_replays_guarded_and_depth_flows(make_passes,
+                                                              objective):
+    """run_pipeline decides the execution mode for every caller: guarded and
+    depth-aware flows under ``in_place=False`` replay the in-place
+    trajectory, cross-checking every round that selected rewrites."""
+    xag = C.int_to_float()
+    in_place = run_pipeline(xag, make_passes(),
+                            params=RewriteParams(objective=objective))
+    rebuild = run_pipeline(xag, make_passes(),
+                           params=RewriteParams(objective=objective,
+                                                in_place=False))
+
+    def triple(result):
+        return (result.final.num_ands, result.depth_after,
+                len(result.rounds))
+
+    assert triple(rebuild) == triple(in_place)
+    assert all(stats.mode == "in_place" for stats in rebuild.rounds)
+    checked = [stats.ab_checked for stats in rebuild.rounds
+               if stats.rewrites_selected]
+    assert checked and all(checked)
+    assert not any(stats.ab_checked for stats in in_place.rounds)
+    assert equivalent(xag, rebuild.final)

@@ -10,11 +10,11 @@ from repro.mc import McDatabase
 from repro.rewriting import (
     CutRewriter,
     RewriteParams,
+    RewritePass,
+    SizeBaselinePass,
     insert_plan,
-    one_round,
-    optimize,
-    paper_flow,
-    size_optimize,
+    run_pipeline,
+    standard_flow,
 )
 from repro.tt import random_table
 from repro.xag import Xag, equivalent, output_truth_tables
@@ -57,7 +57,7 @@ def test_insert_plan_checks_leaf_count():
 def test_full_adder_reaches_multiplicative_complexity_one():
     """The paper's running example (Fig. 1 → Fig. 2): 3 AND gates become 1."""
     fa = full_adder_naive()
-    result = optimize(fa, params=RewriteParams(cut_size=3))
+    result = run_pipeline(fa, [RewritePass()], params=RewriteParams(cut_size=3))
     assert equivalent(fa, result.final)
     assert result.final.num_ands == 1
 
@@ -78,7 +78,8 @@ def test_rewrite_round_statistics():
 def test_rewriting_preserves_function_on_random_networks(rng):
     for seed in range(4):
         xag = random_xag(random.Random(seed), num_pis=6, num_gates=40)
-        result = optimize(xag, params=RewriteParams(cut_size=4, cut_limit=8), max_rounds=2)
+        result = run_pipeline(xag, [RewritePass(max_rounds=2)],
+                              params=RewriteParams(cut_size=4, cut_limit=8))
         assert equivalent(xag, result.final)
         assert result.final.num_ands <= xag.num_ands
 
@@ -101,7 +102,7 @@ def test_invalid_objective_rejected():
 def test_zero_gain_mode_reduces_gates_without_and_regression():
     xag = full_adder_naive()
     params = RewriteParams(cut_size=3, allow_zero_gain=True)
-    result = optimize(xag, params=params)
+    result = run_pipeline(xag, [RewritePass()], params=params)
     assert equivalent(xag, result.final)
     assert result.final.num_ands <= 1 + 0  # still reaches the optimum
 
@@ -109,7 +110,7 @@ def test_zero_gain_mode_reduces_gates_without_and_regression():
 def test_size_objective_reduces_total_gates():
     rng = random.Random(77)
     xag = random_xag(rng, num_pis=5, num_gates=45, and_bias=0.6)
-    result = size_optimize(xag, max_rounds=2)
+    result = run_pipeline(xag, [SizeBaselinePass(max_rounds=2)])
     assert equivalent(xag, result.final)
     assert result.final.num_gates <= xag.num_gates
 
@@ -119,13 +120,15 @@ def test_size_objective_reduces_total_gates():
 # ----------------------------------------------------------------------
 def test_one_round_runs_exactly_one_round():
     fa = full_adder_naive()
-    result = one_round(fa, params=RewriteParams(cut_size=3))
-    assert result.num_rounds == 1
+    result = run_pipeline(fa, [RewritePass(max_rounds=1)],
+                          params=RewriteParams(cut_size=3))
+    assert len(result.rounds) == 1
 
 
 def test_optimize_converges():
     add = adder(8)
-    result = optimize(add, params=RewriteParams(cut_size=4, cut_limit=8))
+    result = run_pipeline(add, [RewritePass()],
+                          params=RewriteParams(cut_size=4, cut_limit=8))
     assert result.converged or result.final.num_ands == 8
     assert equivalent(add, result.final)
     # per-bit carry majority should be reduced to a single AND
@@ -135,46 +138,56 @@ def test_optimize_converges():
 def test_adder_reaches_known_optimum_32():
     """Paper §5.2: the 32-bit adder is optimised down to 32 AND gates (optimal)."""
     add = adder(32)
-    result = optimize(add, params=RewriteParams(cut_size=6, cut_limit=12))
+    result = run_pipeline(add, [RewritePass()],
+                          params=RewriteParams(cut_size=6, cut_limit=12))
     assert result.final.num_ands == 32
     assert equivalent(add, result.final)
 
 
 def test_comparator_improves():
     cmp_ = comparator(8, signed=False, strict=True)
-    result = optimize(cmp_, params=RewriteParams(cut_size=4, cut_limit=8))
+    result = run_pipeline(cmp_, [RewritePass()],
+                          params=RewriteParams(cut_size=4, cut_limit=8))
     assert equivalent(cmp_, result.final)
     assert result.final.num_ands < cmp_.num_ands
 
 
 def test_paper_flow_structure():
     fa = full_adder(style="naive")
-    flow = paper_flow(fa, name="full_adder", params=RewriteParams(cut_size=3))
-    assert flow.name == "full_adder"
-    assert flow.num_inputs == 3 and flow.num_outputs == 2
+    flow = run_pipeline(fa, standard_flow(), params=RewriteParams(cut_size=3))
+    one, convergence = flow.passes
+    assert [one.name, convergence.name] == ["one-round", "convergence"]
+    assert flow.initial.num_pis == 3 and flow.initial.num_pos == 2
     assert flow.initial.num_ands == 3
-    assert flow.after_one_round.num_ands <= flow.initial.num_ands
-    assert flow.after_convergence.num_ands == 1
-    assert flow.one_round_improvement <= flow.convergence_improvement
-    assert flow.convergence_rounds >= 1
-    assert flow.convergence_seconds >= flow.one_round_seconds
+    assert one.ands_before == 3 and len(one.rounds) == 1
+    assert one.ands_after <= flow.initial.num_ands
+    assert convergence.ands_before == one.ands_after
+    assert flow.final.num_ands == convergence.ands_after == 1
+    assert len(flow.rounds) >= 1
+    assert flow.runtime_seconds >= one.runtime_seconds
 
 
 def test_paper_flow_with_size_baseline():
     fa = full_adder(style="naive")
-    flow = paper_flow(fa, params=RewriteParams(cut_size=3), size_baseline=True)
-    assert equivalent(fa, flow.after_convergence)
+    flow = run_pipeline(fa, standard_flow(size_baseline=True),
+                        params=RewriteParams(cut_size=3))
+    assert flow.passes[0].kind == "baseline"
+    assert equivalent(fa, flow.final)
 
 
 def test_flow_respects_max_rounds():
     add = adder(8)
-    flow = paper_flow(add, params=RewriteParams(cut_size=4, cut_limit=6), max_rounds=1)
-    assert flow.convergence_rounds <= 2
+    flow = run_pipeline(add, standard_flow(max_rounds=1),
+                        params=RewriteParams(cut_size=4, cut_limit=6))
+    assert [result.name for result in flow.passes] == ["one-round"]
+    assert len(flow.rounds) == 1
 
 
 def test_shared_database_accumulates_recipes():
     database = McDatabase()
-    optimize(full_adder_naive(), database=database, params=RewriteParams(cut_size=3))
+    run_pipeline(full_adder_naive(), [RewritePass()], database=database,
+                 params=RewriteParams(cut_size=3))
     first = database.stats()["stored_recipes"]
-    optimize(adder(4), database=database, params=RewriteParams(cut_size=4))
+    run_pipeline(adder(4), [RewritePass()], database=database,
+                 params=RewriteParams(cut_size=4))
     assert database.stats()["stored_recipes"] >= first
