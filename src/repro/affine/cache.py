@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.affine.classify import AffineClassifier, Classification
 from repro.affine.operations import AffineTransform
@@ -20,6 +20,8 @@ class ClassificationCache:
     def __init__(self, classifier: Optional[AffineClassifier] = None) -> None:
         self.classifier = classifier or AffineClassifier()
         self._entries: Dict[Tuple[int, int], Classification] = {}
+        #: batch-classified results awaiting their :meth:`classify` miss.
+        self._prefetched: Dict[Tuple[int, int], Classification] = {}
         self.hits = 0
         self.misses = 0
 
@@ -31,9 +33,31 @@ class ClassificationCache:
             self.hits += 1
             return cached
         self.misses += 1
-        result = self.classifier.classify(table, num_vars)
+        result = self._prefetched.pop(key, None)
+        if result is None:
+            result = self.classifier.classify(table, num_vars)
         self._entries[key] = result
         return result
+
+    def prefetch(self, keys: Iterable[Tuple[int, int]]) -> None:
+        """Classify the uncached ``(table, num_vars)`` keys in batches.
+
+        One :meth:`AffineClassifier.classify_many` call per arity; the
+        results wait until :meth:`classify` asks for them, which counts
+        each as the miss it is, so the statistics do not depend on whether
+        a prefetch ran.  The rewriter asks for every key it prefetches
+        within the same drain; should a drain fail half-way, the next
+        prefetch drops the leftovers.
+        """
+        by_arity: Dict[int, List[int]] = {}
+        for table, num_vars in dict.fromkeys(keys):
+            if (table, num_vars) not in self._entries:
+                by_arity.setdefault(num_vars, []).append(table)
+        self._prefetched = {}
+        for num_vars, tables in by_arity.items():
+            results = self.classifier.classify_many(tables, num_vars)
+            for table, result in zip(tables, results):
+                self._prefetched[(table, num_vars)] = result
 
     def peek(self, table: int, num_vars: int) -> Optional[Classification]:
         """Cached classification for ``(table, num_vars)`` or ``None``.
@@ -127,5 +151,6 @@ class ClassificationCache:
     def clear(self) -> None:
         """Drop all cached classifications and statistics."""
         self._entries.clear()
+        self._prefetched = {}
         self.hits = 0
         self.misses = 0

@@ -20,12 +20,27 @@ The greedy strategy is not guaranteed to be perfectly canonical for ties deep
 in the spectrum; this only affects database/cache hit rates, never functional
 correctness, because the returned transform is exact by construction and is
 verified before being returned.
+
+:meth:`AffineClassifier.classify_many` classifies a batch of one arity and
+:meth:`~AffineClassifier.classify` is a batch of one.  On an accelerated
+kernel backend the batch runs through :mod:`repro.affine.batch`: the
+spectral strategy (``n <= 6``) advances every function's canonisation
+states in lockstep over one spectrum matrix, and the exhaustive strategy
+(``n <= 3``) reads a lookup table over all ``2**(2**n)`` functions.  The
+contract is bit-exactness: for every table the batch returns the
+:class:`Classification` of the per-table reference code below — the same
+representative, op sequence, transform, method and ``canonical`` flag —
+because it takes the same decisions on the same exact integers, in the
+same order and with the same tie-breaks.  The pure-Python strategies stay
+the reference and serve the python backend and larger arities.  The cut
+rewriter batch-classifies each drain's plan misses through
+:meth:`repro.affine.cache.ClassificationCache.prefetch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import gf2
 from repro.affine.operations import AffineOp, AffineTransform
@@ -161,107 +176,6 @@ class _State:
         return table_from_spectrum(values, self.num_vars)
 
 
-class _NpState(_State):
-    """:class:`_State` with the permutation held as a numpy index array.
-
-    Used when the active backend is accelerated: gathers, magnitude
-    maxima and table materialisation become single vectorised calls.
-    Every decision quantity is the same exact integer as the reference
-    state's, so the exploration (and therefore the result) is identical.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def initial(cls, num_vars: int, spectrum, magnitudes) -> "_NpState":
-        import numpy as np
-        return cls(num_vars, spectrum, magnitudes,
-                   np.arange(len(spectrum)), 1, 0, [])
-
-    def copy(self) -> "_NpState":
-        return _NpState(self.num_vars, self.spectrum, self.magnitudes,
-                        self.perm.copy(), self.sign, self.linear_sign,
-                        list(self.ops))
-
-    def coefficient(self, w: int) -> int:
-        value = self.sign * int(self.spectrum[self.perm[w]])
-        return -value if popcount(self.linear_sign & w) & 1 else value
-
-    def xor_output(self, var: int) -> None:
-        self.perm = self.perm[_xor_index(1 << var, self.size)]
-        if (self.linear_sign >> var) & 1:
-            self.sign = -self.sign
-        self.ops.append(AffineOp("xor_output", var))
-
-    def apply_placement(self, source: int, position: int) -> None:
-        ops, mperm, minv = _placement_data(source, position, self.num_vars)
-        self.perm = self.perm[_placement_index(source, position, self.num_vars)]
-        self.linear_sign = gf2.mat_vec(minv, self.linear_sign)
-        self.ops.extend(ops)
-
-    def tied_best(self, candidates: List[int]) -> List[int]:
-        cands = _candidate_index(self.size, candidates)
-        selected = self.magnitudes[self.perm[cands]]
-        return cands[selected == selected.max()].tolist()
-
-    def table(self) -> int:
-        values = self.spectrum[self.perm]
-        if self.sign < 0:
-            values = -values
-        if self.linear_sign:
-            values = values * _sign_vector(self.linear_sign, self.size)
-        from repro import kernels
-        return kernels.active_backend().table_from_spectrum(
-            values, self.num_vars)
-
-
-#: small memoised numpy index/sign helpers for :class:`_NpState`.
-_NP_INDEX_CACHE: dict = {}
-
-
-def _xor_index(mask: int, size: int):
-    key = ("xor", mask, size)
-    index = _NP_INDEX_CACHE.get(key)
-    if index is None:
-        import numpy as np
-        index = np.arange(size) ^ mask
-        _NP_INDEX_CACHE[key] = index
-    return index
-
-
-def _placement_index(source: int, position: int, num_vars: int):
-    key = ("place", source, position, num_vars)
-    index = _NP_INDEX_CACHE.get(key)
-    if index is None:
-        import numpy as np
-        _, mperm, _ = _placement_data(source, position, num_vars)
-        index = np.asarray(mperm)
-        _NP_INDEX_CACHE[key] = index
-    return index
-
-
-def _candidate_index(size: int, candidates: List[int]):
-    key = ("cands", size, candidates[0], len(candidates))
-    index = _NP_INDEX_CACHE.get(key)
-    if index is None:
-        import numpy as np
-        index = np.asarray(candidates)
-        _NP_INDEX_CACHE[key] = index
-    return index
-
-
-def _sign_vector(linear: int, size: int):
-    key = ("sign", linear, size)
-    vector = _NP_INDEX_CACHE.get(key)
-    if vector is None:
-        import numpy as np
-        parity = np.asarray(
-            [popcount(linear & w) & 1 for w in range(size)], dtype=np.int32)
-        vector = 1 - 2 * parity
-        _NP_INDEX_CACHE[key] = vector
-    return vector
-
-
 class AffineClassifier:
     """Affine classification with configurable strategy and tie budget."""
 
@@ -276,16 +190,38 @@ class AffineClassifier:
     # ------------------------------------------------------------------
     def classify(self, table: int, num_vars: int) -> Classification:
         """Classify a function given by its truth table."""
+        return self.classify_many([table], num_vars)[0]
+
+    def classify_many(self, tables: Sequence[int],
+                      num_vars: int) -> List[Classification]:
+        """Classify a batch of functions of one arity.
+
+        Returns, table for table, exactly what the per-table strategies
+        return.  On an accelerated backend the batch runs through the
+        lockstep kernels of :mod:`repro.affine.batch` (spectral for
+        ``n <= 6``, a lookup table for exhaustive ``n <= 3``); anything
+        else is classified one table at a time by the reference code.
+        """
         if num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        table &= table_mask(num_vars)
-        if num_vars <= self.exhaustive_limit:
-            result = self._classify_exhaustive(table, num_vars)
+        mask = table_mask(num_vars)
+        tables = [table & mask for table in tables]
+        exhaustive = num_vars <= self.exhaustive_limit
+        batch = _batch_kernels(num_vars, exhaustive)
+        if batch is not None:
+            results = (batch.classify_exhaustive if exhaustive
+                       else batch.classify_spectral)(self, tables, num_vars)
+        elif exhaustive:
+            results = [self._classify_exhaustive(table, num_vars)
+                       for table in tables]
         else:
-            result = self._classify_spectral(table, num_vars)
-        if not result.verify():  # pragma: no cover - defensive
-            raise AssertionError("affine classification produced an invalid transform")
-        return result
+            results = [self._classify_spectral(table, num_vars)
+                       for table in tables]
+        for result in results:
+            if not result.verify():  # pragma: no cover - defensive
+                raise AssertionError(
+                    "affine classification produced an invalid transform")
+        return results
 
     # ------------------------------------------------------------------
     # exhaustive strategy (small n)
@@ -386,20 +322,10 @@ class AffineClassifier:
         max_magnitude = max(magnitudes)
         zero_targets = [w for w in range(size) if magnitudes[w] == max_magnitude]
 
-        from repro import kernels
-        backend = kernels.active_backend()
-        if backend.accelerated and num_vars <= backend.MAX_DENSE_VARS:
-            import numpy as np
-            state_cls = _NpState
-            spectrum = np.asarray(spectrum, dtype=np.int32)
-            magnitudes = np.abs(spectrum)
-        else:
-            state_cls = _State
-
         for index, target in enumerate(zero_targets):
             if index > 0 and (budget[0] <= 0 or best[0] is not None and index >= 4):
                 break
-            state = state_cls.initial(num_vars, spectrum, magnitudes)
+            state = _State.initial(num_vars, spectrum, magnitudes)
             self._greedy_pass(state, target, budget, consider, allow_branching=(index == 0))
 
         assert best[0] is not None
@@ -482,6 +408,17 @@ class AffineClassifier:
         process-wide.
         """
         return _placement_matrix_rows(source, position, num_vars)
+
+
+def _batch_kernels(num_vars: int, exhaustive: bool):
+    """The lockstep kernel module when it serves this batch, else ``None``."""
+    from repro import kernels
+    if not kernels.active_backend().accelerated:
+        return None
+    from repro.affine import batch
+    if exhaustive:
+        return batch if num_vars <= batch.MAX_EXHAUSTIVE_VARS else None
+    return batch if 1 <= num_vars <= batch.MAX_SPECTRAL_VARS else None
 
 
 #: (source, position, num_vars) → placement matrix rows (deterministic).

@@ -39,7 +39,7 @@ keeps one across all passes and rounds of a flow, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.mc.database import ImplementationPlan, McDatabase
 from repro.tt.bits import projection, table_mask
@@ -326,6 +326,27 @@ class CutFunctionCache:
         plan = self.database.plan_for(table, num_vars)
         self._plans[key] = plan
         return plan
+
+    def prefetch_plans(self, cones: Iterable[Tuple[int, Tuple[int, ...]]]) -> None:
+        """Batch-classify the plan misses among memoised ``(root, leaves)`` cones.
+
+        The rewriter calls this once per drain, between its batched cone
+        simulation and its pricing sweep, with the cones in pricing order:
+        the distinct functions that miss the plan memo are handed to one
+        :meth:`ClassificationCache.prefetch`, so the sweep's plan lookups
+        find their classifications ready and consume them all.  The lookups
+        still count every plan and classification miss themselves.  Cones
+        without a memoised table are skipped; their lookup classifies on
+        its own.
+        """
+        if not self.database.use_classification:
+            return
+        keys = []
+        for key in cones:
+            table = self._functions.get(key)
+            if table is not None and (table, len(key[1])) not in self._plans:
+                keys.append((table, len(key[1])))
+        self.database.classification_cache.prefetch(keys)
 
     # ------------------------------------------------------------------
     # persistence (warm-start bundles)

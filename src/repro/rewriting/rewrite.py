@@ -488,6 +488,13 @@ class CutRewriter:
                 entries.append(((root, leaves), table))
             cache.install_cone_functions(xag, entries)
 
+        # Batched classification (numpy backend): every cone table is now
+        # memoised, so the drain's distinct plan misses are classified in
+        # one lockstep pass per arity before Sweep B looks them up.
+        if backend.accelerated:
+            cache.prefetch_plans((node, cut.leaves)
+                                 for node, items in work for cut, _, _ in items)
+
         # Sweep B: plan lookup and pricing, in sweep A's decision order.
         for node, items in work:
             best: Optional[Candidate] = None

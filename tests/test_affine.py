@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.affine import (
     AffineClassifier,
     AffineOp,
@@ -13,7 +14,11 @@ from repro.affine import (
     apply_ops,
 )
 from repro.tt import bits, random_table
+from repro.tt.anf import from_anf
 from repro.tt.spectrum import spectrum_signature
+
+requires_numpy = pytest.mark.skipif(not kernels.numpy_available(),
+                                    reason="numpy backend not importable")
 
 OP_KINDS = ["swap", "flip_input", "flip_output", "translate", "xor_output"]
 
@@ -192,6 +197,89 @@ def test_classification_constant_functions():
     assert zero.representative == one.representative == 0
 
 
+def _fields(result):
+    transform = result.from_representative
+    return (result.table, result.num_vars, result.representative, result.ops,
+            transform.matrix, transform.offset, transform.output_linear,
+            transform.output_const, result.method, result.canonical)
+
+
+def _batch_inputs(num_vars, rng):
+    """Every table up to 3 variables; above, random, constant, affine,
+    quadratic (bent for even n) and sparse (tie-heavy) tables."""
+    size = 1 << num_vars
+    if num_vars <= 3:
+        return list(range(1 << size))
+    mask = bits.table_mask(num_vars)
+    tables = [random_table(num_vars, rng) for _ in range(40)]
+    tables += [0, mask, 1, mask ^ 1]
+    for linear in range(0, size, max(1, size // 8)):
+        affine = 0
+        for var in range(num_vars):
+            if (linear >> var) & 1:
+                affine ^= bits.projection(var, num_vars)
+        tables += [affine, affine ^ mask]
+    # x0 x1 ^ x2 x3 ^ ...: bent for even n, every spectral magnitude tied
+    quadratic = from_anf(sum(1 << (0b11 << var)
+                             for var in range(0, num_vars - 1, 2)), num_vars)
+    tables += [quadratic, quadratic ^ mask]
+    tables += [sum(1 << rng.randrange(size) for _ in range(rng.randint(1, 3)))
+               for _ in range(20)]
+    return tables
+
+
+@requires_numpy
+@pytest.mark.parametrize("num_vars", range(7))
+@pytest.mark.parametrize("iteration_limit", [64, 2])
+def test_classify_many_matches_reference_classifier(num_vars, iteration_limit):
+    """The numpy batch path returns the reference classification, field by
+    field: representative, ops, transform, method and canonical flag."""
+    tables = _batch_inputs(num_vars, random.Random(900 + num_vars))
+    classifier = AffineClassifier(iteration_limit=iteration_limit)
+    with kernels.use_backend("python"):
+        expected = [_fields(classifier.classify(table, num_vars))
+                    for table in tables]
+    with kernels.use_backend("numpy"):
+        batched = classifier.classify_many(tables, num_vars)
+        single = [classifier.classify(table, num_vars) for table in tables]
+    assert [_fields(result) for result in batched] == expected
+    assert [_fields(result) for result in single] == expected
+
+
+@requires_numpy
+def test_classify_many_covers_budget_exhaustion():
+    """Single-minterm tables exhaust the tie budget at the default limit."""
+    classifier = AffineClassifier()
+    tables = [1, 3, 0x8001]
+    with kernels.use_backend("python"):
+        expected = [_fields(classifier.classify(table, 6)) for table in tables]
+    with kernels.use_backend("numpy"):
+        batched = [_fields(result)
+                   for result in classifier.classify_many(tables, 6)]
+    assert batched == expected
+    assert not any(fields[-1] for fields in expected)
+
+
+@pytest.mark.parametrize("num_vars", [7, 8])
+def test_classify_many_falls_back_per_table_above_six_vars(num_vars):
+    rng = random.Random(num_vars)
+    tables = [random_table(num_vars, rng) for _ in range(3)] + [1]
+    classifier = AffineClassifier()
+    with kernels.use_backend("python"):
+        expected = [_fields(classifier.classify(table, num_vars))
+                    for table in tables]
+    assert [_fields(result) for result in
+            classifier.classify_many(tables, num_vars)] == expected
+
+
+def test_classify_many_masks_tables_and_rejects_negative_arity():
+    classifier = AffineClassifier()
+    assert classifier.classify_many([0x1E8], 3)[0].table == 0xE8
+    assert classifier.classify_many([], 5) == []
+    with pytest.raises(ValueError):
+        classifier.classify_many([0], -1)
+
+
 # ----------------------------------------------------------------------
 # cache
 # ----------------------------------------------------------------------
@@ -260,3 +348,23 @@ def test_classification_cache_hits():
     cache.clear()
     assert len(cache) == 0
     assert cache.hit_rate == 0.0
+
+
+def test_classification_cache_prefetch_keeps_the_accounting():
+    """A prefetched classification is served by the miss that asks for it:
+    hit/miss counters read as if no prefetch had run."""
+    cache = ClassificationCache()
+    cache.classify(0x88, 3)
+    cache.prefetch([(0xE8, 3), (0x6996, 4), (0xE8, 3), (0x88, 3)])
+    assert sorted(cache._prefetched) == [(0xE8, 3), (0x6996, 4)]
+    reference = AffineClassifier()
+    for table, num_vars in ((0xE8, 3), (0x6996, 4)):
+        result = cache.classify(table, num_vars)
+        assert _fields(result) == _fields(reference.classify(table, num_vars))
+    assert (cache.hits, cache.misses) == (0, 3)
+    assert not cache._prefetched
+    cache.prefetch([(0x1234, 4)])
+    cache.prefetch([(0x5678, 4)])
+    assert list(cache._prefetched) == [(0x5678, 4)]
+    cache.clear()
+    assert not cache._prefetched and len(cache) == 0

@@ -178,6 +178,29 @@ def test_run_batch_shares_caches_and_renders():
     assert "plan cache" in rendered
 
 
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_run_batch_cache_accounting_is_pinned(backend):
+    """Cache counters and results of a cold two-circuit convergence run.
+
+    Batched classification on the numpy backend must not move a single
+    hit, miss or synthesis relative to per-table classification."""
+    from repro import kernels
+    if backend not in kernels.available_backends():
+        pytest.skip(f"{backend} backend not importable")
+    batch = run_batch(EngineConfig(suites=("epfl",),
+                                   circuits=["alu_ctrl", "int2float"],
+                                   max_rounds=None, backend=backend))
+    database, cut_cache = batch.database_stats, batch.cut_cache_stats
+    assert (database["classification_hits"],
+            database["classification_misses"],
+            database["synthesis_calls"]) == (0, 456, 106)
+    assert (cut_cache["plan_hits"], cut_cache["plan_misses"]) == (6611, 456)
+    assert [(report.name, report.ands_after, report.depth_after,
+             len(report.rounds), report.verified)
+            for report in batch.reports] == [("alu_ctrl", 30, 5, 2, True),
+                                             ("int2float", 70, 15, 5, True)]
+
+
 def test_run_batch_skips_verification_above_limit():
     config = EngineConfig(suites=("epfl",), circuits=["decoder"], max_rounds=1,
                           verify_limit=1)
